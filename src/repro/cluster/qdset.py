@@ -12,7 +12,7 @@ Section V-B adds quorum adjustment: members that stop responding are
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 MIN_REPLICAS = 3  # below this, start growing replicas again (Section V-B)
 
@@ -23,10 +23,6 @@ class QDSet:
     def __init__(self, members: Iterable[int] = ()) -> None:
         self._members: Set[int] = set(members)
         self._suspected: Set[int] = set()
-        #: Optional write-through hook invoked with the new size after
-        #: every membership change — the agent wires this to the
-        #: :class:`~repro.net.agents.AgentStore` QDSet-size column.
-        self.on_change: Optional[Callable[[int], None]] = None
 
     # ------------------------------------------------------------------
     def members(self) -> List[int]:
@@ -49,8 +45,6 @@ class QDSet:
             return False
         self._members.add(head_id)
         self._suspected.discard(head_id)
-        if self.on_change is not None:
-            self.on_change(len(self._members))
         return True
 
     def remove(self, head_id: int) -> bool:
@@ -58,8 +52,6 @@ class QDSet:
         self._suspected.discard(head_id)
         if head_id in self._members:
             self._members.discard(head_id)
-            if self.on_change is not None:
-                self.on_change(len(self._members))
             return True
         return False
 

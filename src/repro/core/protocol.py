@@ -126,11 +126,10 @@ class QuorumProtocolAgent(
 
     @role.setter
     def role(self, value: Role) -> None:
-        # Every role transition writes through to the context's
-        # struct-of-arrays registry so aggregate role counts never need
-        # to walk the agent objects (see repro.net.agents.AgentStore).
+        # Role, head-state and network-id transitions all feed the
+        # context's per-component head tables; each one versions them.
         self._role = value
-        self.ctx.agents.note_role(self.node.node_id, value.value)
+        self.ctx.roles_changed()
 
     @property
     def head(self) -> Optional[HeadState]:
@@ -138,22 +137,10 @@ class QuorumProtocolAgent(
 
     @head.setter
     def head(self, state: Optional[HeadState]) -> None:
-        # Adopting (or dropping) head state rewires the QDSet's size
-        # write-through so the AgentStore column tracks every add/remove
-        # without the mixins knowing about the registry.
         flipped = (getattr(self, "_head", None) is None) != (state is None)
         self._head = state
-        agents = self.ctx.agents
-        node_id = self.node.node_id
         if flipped:
-            agents.note_head_state(node_id)
-        if state is None:
-            agents.note_qdset_size(node_id, 0)
-        else:
-            qdset = state.qdset
-            qdset.on_change = (
-                lambda size: agents.note_qdset_size(node_id, size))
-            agents.note_qdset_size(node_id, len(qdset))
+            self.ctx.roles_changed()
 
     @property
     def network_id(self) -> Optional[int]:
@@ -161,14 +148,8 @@ class QuorumProtocolAgent(
 
     @network_id.setter
     def network_id(self, value: Optional[int]) -> None:
-        # Network membership changes version the context's derived
-        # per-component head tables (see NetworkContext.component_heads).
         self._network_id = value
-        self.ctx.agents.note_network(self.node.node_id, value)
-
-    def _sync_vote_timers(self) -> None:
-        self.ctx.agents.note_vote_timers(
-            self.node.node_id, len(self._vote_timers))
+        self.ctx.roles_changed()
 
     @property
     def ip(self) -> Optional[int]:
@@ -615,7 +596,6 @@ class QuorumProtocolAgent(
         timer = Timer(self.ctx.sim, self._on_vote_timeout)
         timer.start(self.cfg.config_timeout * 0.75, pending.attempt_id)
         self._vote_timers[pending.attempt_id] = timer
-        self._sync_vote_timers()
         self._maybe_decide(pending)
 
     def _handle_quorum_clt(self, msg: Message) -> None:
@@ -768,7 +748,6 @@ class QuorumProtocolAgent(
     def _on_vote_timeout(self, attempt_id: int) -> None:
         pending = self._pending.get(attempt_id)
         self._vote_timers.pop(attempt_id, None)
-        self._sync_vote_timers()
         if pending is None or pending.collector is None:
             return
         if pending.collector.decide() is not None:
@@ -806,7 +785,6 @@ class QuorumProtocolAgent(
         timer = self._vote_timers.pop(pending.attempt_id, None)
         if timer is not None:
             timer.stop()
-        self._sync_vote_timers()
         obs = self.ctx.obs
         if obs:
             latest = pending.collector.latest_record()
@@ -883,7 +861,6 @@ class QuorumProtocolAgent(
         timer = self._vote_timers.pop(pending.attempt_id, None)
         if timer is not None:
             timer.stop()
-        self._sync_vote_timers()
 
     # ==================================================================
     # Commit — write the update into the quorum
@@ -1430,7 +1407,6 @@ class QuorumProtocolAgent(
         for timer in self._vote_timers.values():
             timer.stop()
         self._vote_timers.clear()
-        self._sync_vote_timers()
         self._stop_location_service()
         self._stop_audit()
         self._stop_merge_watch()

@@ -190,7 +190,7 @@ class ScenarioRunner:
         record = DeathRecord(
             node_id=agent.node_id,
             time=self.ctx.sim.now,
-            was_head=bool(getattr(agent, "is_allocator", lambda: False)()),
+            was_head=agent.is_allocator(),
         )
         head = getattr(agent, "head", None)
         if head is not None:
@@ -224,7 +224,7 @@ class ScenarioRunner:
                 if agent.configured_at is not None and agent.entered_at is not None
                 else None
             )
-            is_head = bool(getattr(agent, "is_allocator", lambda: False)())
+            is_head = agent.is_allocator()
             outcomes.append(NodeOutcome(
                 node_id=node_id,
                 configured=configured,

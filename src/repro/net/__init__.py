@@ -15,7 +15,6 @@ which charges hop counts to per-category counters in
 overhead figure in the evaluation.
 """
 
-from repro.net.agents import AgentStore
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category, Counters, MessageStats
@@ -25,7 +24,6 @@ from repro.net.transport import Scope, SendOutcome, Transport
 from repro.net.hello import HelloService
 
 __all__ = [
-    "AgentStore",
     "Message",
     "Node",
     "Category",

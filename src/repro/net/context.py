@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List,
                     Optional, Set, Tuple)
 
-from repro.net.agents import AgentStore
 from repro.net.hello import HelloService
 from repro.net.node import Node
 from repro.net.stats import MessageStats
@@ -62,11 +61,12 @@ class NetworkContext:
         # layers emit structured events here (falsy while nobody
         # subscribes — emission sites gate on that; see repro.obs).
         self.obs: EventBus = transport.obs
-        # Struct-of-arrays agent registry: dict-compatible surface plus
-        # denormalized role/address/qdset/vote-timer columns kept in
-        # sync by the note_* write-through hooks (see repro.net.agents).
-        self.agents: AgentStore = AgentStore()
+        self.agents: Dict[int, Any] = {}  # node_id -> agent
         self.ip_registry: Dict[int, int] = {}  # ip -> node_id
+        #: Bumped on membership, address binding and every role,
+        #: head-state or network-id transition (:meth:`roles_changed`)
+        #: — the agent half of the component-table cache key.
+        self.role_epoch = 0
         # Derived view: component id -> (sorted head ids, head network
         # ids, all configured network ids), shared by every agent that
         # asks "does my partition still have allocators" (orphan
@@ -75,9 +75,9 @@ class NetworkContext:
         # without the cache each asker walked its own neighborhood or
         # component per scan — O(n^2) per scan round.  Keyed on
         # (graph_version, role_epoch): topology rebuilds bump the
-        # former; role, network-id, head-state, and address-bound
-        # transitions bump the latter, so every input the table reads
-        # is covered and no TTL backstop is needed.
+        # former; registration, address binding and role, network-id
+        # and head-state transitions bump the latter, so every input
+        # the table reads is covered and no TTL backstop is needed.
         self._comp_heads_key: Tuple[int, int] = (-1, -1)
         self._comp_heads: Dict[int, Tuple[Tuple[int, ...],
                                           FrozenSet[Optional[int]],
@@ -87,10 +87,17 @@ class NetworkContext:
     # Agent registry
     # ------------------------------------------------------------------
     def register(self, agent: Any) -> None:
-        self.agents.add(agent)
+        self.agents[agent.node.node_id] = agent
+        self.role_epoch += 1
 
     def unregister(self, node_id: int) -> None:
-        self.agents.evict(node_id)
+        self.agents.pop(node_id, None)
+        self.role_epoch += 1
+
+    def roles_changed(self) -> None:
+        """Invalidate the component tables after an agent's role,
+        head state or network id changed."""
+        self.role_epoch += 1
 
     def agent_of(self, node_id: int) -> Optional[Any]:
         return self.agents.get(node_id)
@@ -103,12 +110,11 @@ class NetworkContext:
     # ------------------------------------------------------------------
     def bind_ip(self, ip: int, node_id: int) -> None:
         self.ip_registry[ip] = node_id
-        self.agents.note_address(node_id, ip)
+        self.role_epoch += 1
 
     def unbind_ip(self, ip: int) -> None:
-        node_id = self.ip_registry.pop(ip, None)
-        if node_id is not None:
-            self.agents.note_address(node_id, None)
+        if self.ip_registry.pop(ip, None) is not None:
+            self.role_epoch += 1
 
     def resolve_ip(self, ip: int) -> Optional[int]:
         return self.ip_registry.get(ip)
@@ -121,17 +127,17 @@ class NetworkContext:
         node = self.topology.get(node_id)
         if agent is None or node is None or not node.alive:
             return False
-        return bool(getattr(agent, "is_allocator", lambda: False)())
+        return bool(agent.is_allocator())
 
     def is_configured(self, node_id: int) -> bool:
         agent = self.agents.get(node_id)
         node = self.topology.get(node_id)
         if agent is None or node is None or not node.alive:
             return False
-        return bool(getattr(agent, "is_configured", lambda: False)())
+        return bool(agent.is_configured())
 
     # ------------------------------------------------------------------
-    # Component-level role queries (connectivity labels + agent columns)
+    # Component-level role queries (connectivity labels + agent state)
     # ------------------------------------------------------------------
     _NO_HEADS: Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
                      FrozenSet[Optional[int]]] = ((), frozenset(), frozenset())
@@ -146,7 +152,7 @@ class NetworkContext:
         component = topology.component_id(node_id)
         if component is None:
             return self._NO_HEADS
-        key = (topology.graph_version, self.agents.role_epoch)
+        key = (topology.graph_version, self.role_epoch)
         if key != self._comp_heads_key:
             table: Dict[int, Tuple[List[int], Set[Optional[int]],
                                    Set[Optional[int]]]] = {}

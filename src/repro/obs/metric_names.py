@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional
 
-# --- agent aggregates (AgentStore column scans) -----------------------
-AGENTS_LIVE = "agents_live"                  # registered, non-tombstoned
-AGENTS_CONFIGURED = "agents_configured"      # with a bound address
+# --- agent aggregates (one walk over the registered agents) -----------
+AGENTS_LIVE = "agents_live"                  # registered, dead ones too
+AGENTS_CONFIGURED = "agents_configured"      # alive, with an address
 QDSET_SIZE_TOTAL = "qdset_size_total"        # sum of |QDSet| over heads
 VOTE_TIMERS = "vote_timers"                  # live allocator vote timers
 

@@ -14,11 +14,12 @@ Design rules, matching the tracing layer:
   :class:`~repro.sim.timers.PeriodicTimer` on the run's own simulator,
   so sample times are simulation times: a serial run and a parallel
   sweep worker produce byte-identical series.
-* **Read-only.**  Every gauge is a passive read — array scans over the
-  :class:`~repro.net.agents.AgentStore` columns, pool introspection,
-  the *stale* component count (:meth:`Topology.component_count_stale`,
-  which never forces a rebuild) — so an attached recorder cannot
-  perturb protocol behavior, RNG draws or perf counters.
+* **Read-only.**  Every gauge is a passive read — one walk over the
+  registered agent objects (roles, QDSet sizes, vote timers, pool
+  introspection), the *stale* component count
+  (:meth:`Topology.component_count_stale`, which never forces a
+  rebuild) — so an attached recorder cannot perturb protocol behavior,
+  RNG draws or perf counters.
 * **Zero overhead when absent.**  Nothing is scheduled and nothing is
   sampled unless a recorder is attached; metrics-off runs execute the
   exact pre-metrics event sequence.
@@ -48,7 +49,7 @@ class MetricsRecorder:
     Attach to a :class:`~repro.net.context.NetworkContext` before the
     run starts; the recorder arms a periodic timer (first sample at
     t=0) and appends one value per metric per tick.  Series whose
-    vocabulary appears mid-run (a role interned after bootstrap) are
+    vocabulary appears mid-run (a role first seen after bootstrap) are
     zero-padded back to t=0, so every series always spans the whole
     run.
 
@@ -131,32 +132,40 @@ class MetricsRecorder:
 def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
     """Take one sample of every registered gauge from ``ctx``.
 
-    Everything read here is passive: column scans, cached topology
-    facts, cumulative transport counters.  No call may force a graph
-    rebuild, touch an RNG stream or bump a perf counter — that is what
-    keeps metrics-on runs bit-identical to metrics-off runs everywhere
-    outside ``obs_metrics``.
+    Everything read here is passive: one walk over the agent objects,
+    cached topology facts, cumulative transport counters.  No call may
+    force a graph rebuild, touch an RNG stream or bump a perf counter —
+    that is what keeps metrics-on runs bit-identical to metrics-off runs
+    everywhere outside ``obs_metrics``.
     """
     agents = ctx.agents
-    metrics.record(mn.AGENTS_LIVE, len(agents))
-    metrics.record(mn.AGENTS_CONFIGURED, agents.bound_address_count())
-    metrics.record(mn.QDSET_SIZE_TOTAL, agents.qdset_size_total())
-    metrics.record(mn.VOTE_TIMERS, agents.vote_timer_total())
-    role_counts = agents.role_counts()
-    for role in sorted(role_counts):
-        metrics.record(mn.role_metric(role), role_counts[role])
-
+    configured = 0
+    qdset_total = 0
+    vote_timers = 0
+    role_counts: Dict[str, int] = {}
     free = 0
     allocated = 0
-    for _, agent in agents.items():
+    for agent in agents.values():
+        if agent.is_configured():
+            configured += 1
+        role = getattr(agent, "role", None)
+        name = "" if role is None else role.value
+        role_counts[name] = role_counts.get(name, 0) + 1
+        # Allocator-side vote timers (quorum agents only).
+        vote_timers += len(getattr(agent, "_vote_timers", ()))
         head = getattr(agent, "head", None)
-        if head is None or not agent.node.alive:
+        if head is None:
             continue
-        pool = getattr(head, "pool", None)
-        if pool is None:
-            continue
-        free += pool.free_count()
-        allocated += pool.allocated_count()
+        qdset_total += len(head.qdset)
+        if agent.node.alive:
+            free += head.pool.free_count()
+            allocated += head.pool.allocated_count()
+    metrics.record(mn.AGENTS_LIVE, len(agents))
+    metrics.record(mn.AGENTS_CONFIGURED, configured)
+    metrics.record(mn.QDSET_SIZE_TOTAL, qdset_total)
+    metrics.record(mn.VOTE_TIMERS, vote_timers)
+    for name, count in role_counts.items():
+        metrics.record(mn.role_metric(name), count)
     metrics.record(mn.POOL_FREE, free)
     metrics.record(mn.POOL_ALLOCATED, allocated)
 

@@ -1,5 +1,11 @@
 """Unit tests for the shared network context."""
 
+import pytest
+
+from repro.addrspace.block import Block
+from repro.cluster.roles import Role
+from repro.core.protocol import QuorumProtocolAgent
+from repro.core.state import CommonState, HeadState
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
@@ -114,26 +120,83 @@ def test_component_tables_are_per_component():
     assert ctx.component_networks(99) == frozenset()
 
 
-def test_component_tables_refresh_on_role_transition():
+def test_registry_is_a_plain_dict_in_registration_order():
+    ctx = make_ctx()
+    first = add(ctx, 3)
+    second = add(ctx, 1)
+    assert type(ctx.agents) is dict
+    assert list(ctx.agents.items()) == [(3, first), (1, second)]
+    ctx.unregister(3)
+    ctx.unregister(3)  # unknown ids are a no-op
+    assert list(ctx.agents) == [1]
+
+
+def test_reregistering_replaces_in_place():
+    ctx = make_ctx()
+    first = add(ctx, 3)
+    second = add(ctx, 1)
+    epoch = ctx.role_epoch
+    replacement = FakeAgent(ctx, first.node)
+    assert list(ctx.agents.items()) == [(3, replacement), (1, second)]
+    assert ctx.role_epoch == epoch + 1
+
+
+def test_component_tables_refresh_on_roles_changed():
     ctx = make_ctx()
     head = add(ctx, 1, allocator=True, configured=True, network_id=7)
     add(ctx, 2, configured=True, network_id=7)
     assert ctx.component_heads(2) == (1,)
-    # Demote the head through the write-through hook: the epoch bump
-    # must invalidate the cached table without any clock advance.
+    # Demote the head and report it: the epoch bump must invalidate
+    # the cached table without any clock advance.
     head._allocator = False
-    ctx.agents.note_role(1, None)
+    ctx.roles_changed()
     assert ctx.component_heads(2) == ()
     assert ctx.component_head_networks(2) == frozenset()
+    # A network-id change is reported the same way.
+    head.network_id = 9
+    ctx.roles_changed()
+    assert ctx.component_networks(2) == frozenset({7, 9})
+
+
+def quorum_agent(ctx, node_id, network_id):
+    """A real quorum agent, configured as a common node of
+    ``network_id`` without running the protocol."""
+    node = Node(node_id, Stationary(Point(node_id * 50.0, 0)))
+    ctx.topology.add_node(node)
+    agent = QuorumProtocolAgent(ctx, node)
+    agent.common = CommonState(ip=100 + node_id, configurer_id=node_id,
+                               configurer_ip=100 + node_id)
+    agent.role = Role.COMMON
+    agent.network_id = network_id
+    return agent
+
+
+def make_head(agent):
+    block = Block(16 * agent.node_id, 16)
+    return HeadState(ip=block.start, blocks=[block], configurer_id=None,
+                     configurer_ip=None)
+
+
+def test_component_tables_refresh_on_role_transition():
+    ctx = make_ctx()
+    agent = quorum_agent(ctx, 1, network_id=7)
+    quorum_agent(ctx, 2, network_id=7)
+    agent.head = make_head(agent)
+    assert ctx.component_heads(2) == ()
+    agent.role = Role.HEAD
+    assert ctx.component_heads(2) == (1,)
+    agent.role = Role.COMMON
+    assert ctx.component_heads(2) == ()
 
 
 def test_component_tables_refresh_on_network_transition():
     ctx = make_ctx()
-    head = add(ctx, 1, allocator=True, configured=True, network_id=7)
-    add(ctx, 2, configured=True, network_id=7)
+    agent = quorum_agent(ctx, 1, network_id=7)
+    quorum_agent(ctx, 2, network_id=7)
+    agent.head = make_head(agent)
+    agent.role = Role.HEAD
     assert ctx.component_head_networks(2) == frozenset({7})
-    head.network_id = 9
-    ctx.agents.note_network(1, 9)
+    agent.network_id = 9
     assert ctx.component_head_networks(2) == frozenset({9})
     assert ctx.component_networks(2) == frozenset({7, 9})
 
@@ -154,14 +217,18 @@ def test_component_tables_refresh_on_topology_split():
 
 def test_component_tables_refresh_on_head_state_transition():
     ctx = make_ctx()
-    head = add(ctx, 1, allocator=True, configured=True, network_id=7)
-    add(ctx, 2, configured=True, network_id=7)
-    assert ctx.component_heads(2) == (1,)
-    # Dropping head state without a role transition still goes through
-    # the write-through hook, which must invalidate the cached table.
-    head._allocator = False
-    ctx.agents.note_head_state(1)
+    agent = quorum_agent(ctx, 1, network_id=7)
+    quorum_agent(ctx, 2, network_id=7)
+    agent.role = Role.HEAD
     assert ctx.component_heads(2) == ()
+    # Adopting and dropping head state under an unchanged HEAD role
+    # goes through the head setter, which versions the tables.
+    agent.head = make_head(agent)
+    assert ctx.component_heads(2) == (1,)
+    agent.head = None
+    assert ctx.component_heads(2) == ()
+    # Still configured (as a common), so still counted by network.
+    assert ctx.component_networks(2) == frozenset({7})
 
 
 def test_component_tables_refresh_when_address_bound_ness_flips():
@@ -169,25 +236,26 @@ def test_component_tables_refresh_when_address_bound_ness_flips():
     add(ctx, 1, allocator=True, configured=True, network_id=7)
     agent = add(ctx, 2, configured=False, network_id=None)
     assert ctx.component_networks(1) == frozenset({7})
-    # Binding an IP flips bound-ness, which versions the table.
+    # Binding an IP versions the table.
     agent._configured = True
     agent.network_id = 9
     ctx.bind_ip(42, 2)
     assert ctx.component_networks(1) == frozenset({7, 9})
-    # Unbinding flips it back — again through the hook.
+    # Unbinding does too.
     agent._configured = False
     ctx.unbind_ip(42)
     assert ctx.component_networks(1) == frozenset({7})
 
 
-def test_rebinding_to_a_new_address_does_not_version_the_tables():
+@pytest.mark.xfail(strict=True, reason=(
+    "ip_registry is flat (ip -> node id) although addresses are only "
+    "unique per network: unbinding one network's address drops another "
+    "network's binding of it (ROADMAP item 5, safety checker)"))
+def test_unbinding_one_networks_address_keeps_another_networks_binding():
     ctx = make_ctx()
     add(ctx, 1, configured=True, network_id=7)
-    ctx.bind_ip(42, 1)
-    epoch = ctx.agents.role_epoch
-    # Same bound-ness, different address: configured-ness and head-ness
-    # are unchanged, so the derived tables stay valid.
-    ctx.agents.note_address(1, 43)
-    assert ctx.agents.role_epoch == epoch
-    ctx.agents.note_address(1, None)
-    assert ctx.agents.role_epoch == epoch + 1
+    add(ctx, 2, configured=True, network_id=8)
+    ctx.bind_ip(5, 1)
+    ctx.bind_ip(5, 2)
+    ctx.unbind_ip(5)  # node 1 departs
+    assert ctx.resolve_ip(5) == 2

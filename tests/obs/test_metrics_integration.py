@@ -12,6 +12,7 @@ from repro.experiments.sweep import (
     expand_grid,
 )
 from repro.obs import (
+    MetricsRecorder,
     merge_series,
     metrics_export_path,
     series_from_jsonl,
@@ -50,6 +51,22 @@ def test_series_cover_the_whole_run_and_show_the_ramp():
         captured = sum(series[mn.msg_metric(category)])
         assert 0 <= captured <= total
         assert total - captured <= 5
+
+
+def test_configured_gauge_counts_live_configured_agents_after_churn():
+    # Abrupt departures leave stale ip_registry entries behind, so the
+    # gauge must ask the agents rather than count bound addresses.
+    runner = ScenarioRunner(paper_scenario(
+        num_nodes=40, seed=3, settle_time=20, depart_fraction=0.5,
+        abrupt_probability=0.5, speed_mps=0))
+    runner.run()
+    ctx = runner.ctx
+    recorder = MetricsRecorder().attach(ctx)
+    ctx.sim.run(until=ctx.sim.now)
+    assert recorder.samples == 1
+    configured = sum(agent.is_configured() for agent in ctx.agents.values())
+    assert configured < len(ctx.agents)
+    assert recorder.series()[mn.AGENTS_CONFIGURED] == [configured]
 
 
 def test_metrics_do_not_perturb_the_run():
