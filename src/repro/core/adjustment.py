@@ -120,9 +120,11 @@ class AdjustmentMixin:
             prev = 0
             while self.head.qdset.needs_regrow():
                 ring = topology.within_hops(self.node_id, k)
+                heads = self.ctx.head_ids()
                 for _hops, head_id in sorted(
                         (hops, other) for other, hops in ring
-                        if hops > prev and self.ctx.is_head(other)):
+                        if hops > prev and other in heads
+                        and self.ctx.is_head(other)):
                     if not self.head.qdset.needs_regrow():
                         break
                     self._recruit_member(head_id)

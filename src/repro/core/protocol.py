@@ -127,9 +127,9 @@ class QuorumProtocolAgent(
     @role.setter
     def role(self, value: Role) -> None:
         # Role, head-state and network-id transitions all feed the
-        # context's per-component head tables; each one versions them.
+        # context's head tables; each one marks this node for a patch.
         self._role = value
-        self.ctx.roles_changed()
+        self.ctx.roles_changed(self.node_id)
 
     @property
     def head(self) -> Optional[HeadState]:
@@ -140,7 +140,7 @@ class QuorumProtocolAgent(
         flipped = (getattr(self, "_head", None) is None) != (state is None)
         self._head = state
         if flipped:
-            self.ctx.roles_changed()
+            self.ctx.roles_changed(self.node_id)
 
     @property
     def network_id(self) -> Optional[int]:
@@ -149,7 +149,7 @@ class QuorumProtocolAgent(
     @network_id.setter
     def network_id(self, value: Optional[int]) -> None:
         self._network_id = value
-        self.ctx.roles_changed()
+        self.ctx.roles_changed(self.node_id)
 
     @property
     def ip(self) -> Optional[int]:
@@ -200,7 +200,10 @@ class QuorumProtocolAgent(
                 category, retries - 1, spacing, corr)
 
     def _heads_within(self, k: int) -> List[Tuple[int, int]]:
-        return self.ctx.hello.heads_within(self.node_id, k, self.ctx.is_head)
+        # Only ring members in the live head set are confirmed with
+        # ``is_head``, not the whole ring.
+        return self.ctx.hello.heads_within(
+            self.node_id, k, self.ctx.is_head, among=self.ctx.head_ids())
 
     def _nearest_head(self, max_hops: Optional[int] = None) -> Optional[Tuple[int, int]]:
         return self.ctx.hello.nearest_head(self.node_id, self.ctx.is_head, max_hops)

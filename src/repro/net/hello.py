@@ -14,7 +14,7 @@ the paper's overhead figures exclude it; it is tracked under
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import AbstractSet, Callable, List, Optional, Tuple
 
 from repro.net.stats import Category, MessageStats
 from repro.net.topology import Topology
@@ -60,17 +60,19 @@ class HelloService:
         node_id: int,
         k: int,
         is_head: Callable[[int], bool],
+        among: Optional[AbstractSet[int]] = None,
     ) -> List[Tuple[int, int]]:
         """Cluster heads within ``k`` hops of ``node_id``, as hellos report.
 
         Returns ``(head_id, hops)`` sorted nearest-first (ties broken by
-        id for determinism).
+        id for determinism).  ``among``, a superset of the heads (such
+        as :meth:`NetworkContext.head_ids`), narrows the ring before
+        ``is_head`` confirms each remaining member.
         """
-        heads = [
-            (other, hops)
-            for other, hops in self.topology.within_hops(node_id, k)
-            if is_head(other)
-        ]
+        ring = self.topology.within_hops(node_id, k)
+        if among is not None:
+            ring = [(other, hops) for other, hops in ring if other in among]
+        heads = [(other, hops) for other, hops in ring if is_head(other)]
         heads.sort(key=lambda pair: (pair[1], pair[0]))
         return heads
 

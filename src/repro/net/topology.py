@@ -786,6 +786,13 @@ class Topology:
     def graph_version(self) -> int:
         return self._graph_version
 
+    def current_graph_version(self) -> int:
+        """:attr:`graph_version` after bringing the graph up to date
+        with ``sim.now`` — what any hop query would do first.  Never
+        touches the connectivity labels."""
+        self._ensure_graph()
+        return self._graph_version
+
     @property
     def shard_count(self) -> int:
         """Occupied grid shards in the current snapshot."""

@@ -43,6 +43,10 @@ CONN_DELTA_RELABELS = "conn_delta_relabels"
 CONN_SLOTS_RELABELED = "conn_slots_relabeled"
 CONN_LABEL_HITS = "conn_label_hits"
 
+# --- per-component head tables (repro.net.context) ------------------------
+COMP_TABLE_FULL_BUILDS = "comp_table_full_builds"
+COMP_TABLE_NODE_PATCHES = "comp_table_node_patches"
+
 # --- transport (repro.net.transport) ---------------------------------------
 MSG_FANOUT_SHARED = "msg_fanout_shared"
 SEND_UNICAST = "send_unicast"
@@ -86,6 +90,8 @@ ALL_COUNTERS: FrozenSet[str] = frozenset({
     CONN_DELTA_RELABELS,
     CONN_SLOTS_RELABELED,
     CONN_LABEL_HITS,
+    COMP_TABLE_FULL_BUILDS,
+    COMP_TABLE_NODE_PATCHES,
     MSG_FANOUT_SHARED,
     SEND_UNICAST,
     SEND_NEIGHBORS,

@@ -382,15 +382,6 @@ def _run_protocol_size(n: int, *, seed: int) -> Dict[str, Any]:
     # on (entrant adds, the moat cut, the heal) must ride the delta
     # path, and every partition-detection query must be a label hit.
     topo.component_count()
-    # The settle window is the steady-state floor being attributed:
-    # memory tracing brackets exactly this window, so the per-package
-    # byte totals are what a healthy settled network accretes.
-    profiler.start_memory()
-    with profiler.phase("settle"):
-        sim.run(until=SETTLE_S)
-    settle_memory = profiler.memory_by_package()
-    profiler.stop_memory()
-
     phases: Dict[str, Dict[str, Any]] = {}
 
     def run_phase(name: str, fn: Any) -> None:
@@ -408,6 +399,14 @@ def _run_protocol_size(n: int, *, seed: int) -> Dict[str, Any]:
                 if after[key] != before.get(key, 0)
             },
         }
+
+    # The settle window is the steady-state floor being attributed:
+    # memory tracing brackets exactly this window, so the per-package
+    # byte totals are what a healthy settled network accretes.
+    profiler.start_memory()
+    run_phase("settle", lambda: sim.run(until=SETTLE_S))
+    settle_memory = profiler.memory_by_package()
+    profiler.stop_memory()
 
     # --- allocation storm -------------------------------------------
     entrants: List[Any] = []
@@ -541,11 +540,13 @@ def check_scale_regression(
     ``tolerance``; dropping below baseline is an improvement, never a
     failure.  Wall clock is never compared.
 
-    Two invariants of the run itself (not comparisons) also gate here:
+    Invariants of the run itself (not comparisons) also gate here:
     the engine churn phase must stay on the delta-relabel path (zero
-    ``conn_full_relabels``), and the protocol detect window must issue
+    ``conn_full_relabels``), the protocol detect window must issue
     zero unbounded BFS walks and zero full relabels — partition
-    detection rides the connectivity labels or the gate fails.
+    detection rides the connectivity labels or the gate fails — and
+    the settle and storm windows may rebuild the component tables at
+    most once per graph rebuild (role transitions only patch them).
     """
     failures: List[str] = []
     failures.extend(_check_run_invariants(payload))
@@ -650,6 +651,17 @@ def _check_run_invariants(payload: Dict[str, Any]) -> List[str]:
                     f"protocol n={size}: detect window issued "
                     f"{delta[counter]} {counter} — partition detection "
                     "must ride the connectivity labels")
+        for name in ("settle", "storm"):
+            delta = (cell.get("phases", {}).get(name, {})
+                     .get("counters_delta", {}))
+            builds = delta.get(cnt.COMP_TABLE_FULL_BUILDS, 0)
+            rebuilds = delta.get(cnt.GRAPH_REBUILDS, 0)
+            if builds > rebuilds:
+                failures.append(
+                    f"protocol n={size}: {name} window made {builds} "
+                    f"{cnt.COMP_TABLE_FULL_BUILDS} over {rebuilds} "
+                    f"{cnt.GRAPH_REBUILDS} — role transitions must patch "
+                    "the component tables, not rebuild them")
         if not cell.get("final", {}).get("addresses_unique", True):
             failures.append(
                 f"protocol n={size}: duplicate addresses after heal")

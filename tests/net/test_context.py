@@ -10,6 +10,7 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
 from repro.net.context import NetworkContext
+from repro.perf import counters as cnt
 
 
 class FakeAgent:
@@ -133,12 +134,14 @@ def test_registry_is_a_plain_dict_in_registration_order():
 
 def test_reregistering_replaces_in_place():
     ctx = make_ctx()
-    first = add(ctx, 3)
+    first = add(ctx, 3, allocator=True, configured=True, network_id=7)
     second = add(ctx, 1)
-    epoch = ctx.role_epoch
+    assert ctx.component_heads(3) == (3,)
     replacement = FakeAgent(ctx, first.node)
     assert list(ctx.agents.items()) == [(3, replacement), (1, second)]
-    assert ctx.role_epoch == epoch + 1
+    # Registering the replacement re-reads the node.
+    assert ctx.component_heads(3) == ()
+    assert 3 not in ctx.head_ids()
 
 
 def test_component_tables_refresh_on_roles_changed():
@@ -146,16 +149,89 @@ def test_component_tables_refresh_on_roles_changed():
     head = add(ctx, 1, allocator=True, configured=True, network_id=7)
     add(ctx, 2, configured=True, network_id=7)
     assert ctx.component_heads(2) == (1,)
-    # Demote the head and report it: the epoch bump must invalidate
-    # the cached table without any clock advance.
+    # Demote the head and report it: the mark must reach the cached
+    # table without any clock advance.
     head._allocator = False
-    ctx.roles_changed()
+    ctx.roles_changed(1)
     assert ctx.component_heads(2) == ()
     assert ctx.component_head_networks(2) == frozenset()
     # A network-id change is reported the same way.
     head.network_id = 9
-    ctx.roles_changed()
+    ctx.roles_changed(1)
     assert ctx.component_networks(2) == frozenset({7, 9})
+
+
+def table_counters(ctx):
+    return (ctx.perf.get(cnt.COMP_TABLE_FULL_BUILDS),
+            ctx.perf.get(cnt.COMP_TABLE_NODE_PATCHES))
+
+
+def test_role_change_patches_one_node_without_a_full_build():
+    ctx = make_ctx()
+    # Two components: the change in one must leave the other's cached
+    # entry as it was.
+    add(ctx, 1, allocator=True, configured=True, network_id=7, x=0.0)
+    common = add(ctx, 2, configured=True, network_id=7, x=100.0)
+    add(ctx, 11, allocator=True, configured=True, network_id=8, x=5000.0)
+    far = ctx.component_heads(11)
+    assert ctx.component_heads(2) == (1,)
+    assert table_counters(ctx) == (1, 0)
+    common._allocator = True
+    ctx.roles_changed(2)
+    assert ctx.component_heads(2) == (1, 2)
+    assert ctx.component_head_networks(2) == frozenset({7})
+    assert table_counters(ctx) == (1, 1)
+    assert ctx.component_heads(11) is far
+    # A mark with nothing changed is still one patch, and no build.
+    ctx.roles_changed(2)
+    assert ctx.component_heads(2) == (1, 2)
+    assert table_counters(ctx) == (1, 2)
+
+
+def test_head_demotion_leaves_the_tables_and_the_head_set():
+    ctx = make_ctx()
+    head = add(ctx, 1, allocator=True, configured=True, network_id=7)
+    add(ctx, 3, allocator=True, configured=True, network_id=9)
+    add(ctx, 2, configured=True, network_id=7)
+    assert ctx.component_heads(2) == (1, 3)
+    assert ctx.head_ids() == {1, 3}
+    head._allocator = False
+    ctx.roles_changed(1)
+    assert ctx.component_heads(2) == (3,)
+    assert ctx.component_head_networks(2) == frozenset({9})
+    # Still configured, so its network still counts.
+    assert ctx.component_networks(2) == frozenset({7, 9})
+    assert ctx.head_ids() == {3}
+    assert table_counters(ctx) == (1, 1)
+
+
+def test_graph_change_falls_back_to_one_full_build():
+    ctx = make_ctx()
+    add(ctx, 1, allocator=True, configured=True, network_id=7, x=0.0)
+    bridge = add(ctx, 2, allocator=True, configured=True, network_id=7,
+                 x=100.0)
+    add(ctx, 3, configured=True, network_id=7, x=200.0)
+    assert ctx.component_heads(3) == (1, 2)
+    assert ctx.head_ids() == {1, 2}
+    bridge.node.kill()
+    ctx.topology.invalidate_nodes([2])
+    # A liveness flip marks nothing: the graph change alone rebuilds,
+    # once for every asker of the new graph.
+    assert ctx.component_heads(3) == ()
+    assert ctx.component_heads(1) == (1,)
+    assert table_counters(ctx) == (2, 0)
+    assert ctx.head_ids() == {1}
+
+
+def test_head_set_never_relabels():
+    ctx = make_ctx()
+    add(ctx, 1, allocator=True, configured=True, network_id=7)
+    add(ctx, 2, configured=True, network_id=7)
+    assert ctx.head_ids() == {1}
+    add(ctx, 3, allocator=True, configured=True, network_id=7)
+    assert ctx.head_ids() == {1, 3}
+    assert ctx.perf.get(cnt.CONN_RELABELS) == 0
+    assert table_counters(ctx) == (0, 0)
 
 
 def quorum_agent(ctx, node_id, network_id):
@@ -222,7 +298,7 @@ def test_component_tables_refresh_on_head_state_transition():
     agent.role = Role.HEAD
     assert ctx.component_heads(2) == ()
     # Adopting and dropping head state under an unchanged HEAD role
-    # goes through the head setter, which versions the tables.
+    # goes through the head setter, which marks the node.
     agent.head = make_head(agent)
     assert ctx.component_heads(2) == (1,)
     agent.head = None
@@ -236,7 +312,7 @@ def test_component_tables_refresh_when_address_bound_ness_flips():
     add(ctx, 1, allocator=True, configured=True, network_id=7)
     agent = add(ctx, 2, configured=False, network_id=None)
     assert ctx.component_networks(1) == frozenset({7})
-    # Binding an IP versions the table.
+    # Binding an IP marks the node.
     agent._configured = True
     agent.network_id = 9
     ctx.bind_ip(42, 2)

@@ -24,6 +24,18 @@ def test_heads_within_filters_and_sorts():
     assert result == [(1, 1), (3, 3)]
 
 
+def test_heads_within_confirms_only_members_among_the_candidates():
+    _, _, hello, _ = make([(0, 0), (120, 0), (240, 0), (360, 0)])
+    asked = []
+
+    def is_head(n):
+        asked.append(n)
+        return n != 2  # a stale candidate: no longer a head
+
+    assert hello.heads_within(0, 3, is_head, among={2, 3, 7}) == [(3, 3)]
+    assert sorted(asked) == [2, 3]
+
+
 def test_heads_within_respects_k():
     _, _, hello, _ = make([(0, 0), (120, 0), (240, 0), (360, 0)])
     result = hello.heads_within(0, 2, lambda n: True)

@@ -57,7 +57,8 @@ def test_payload_schema_and_structure(tiny_matrix):
     proto = payload["protocol"]["200"]
     assert set(proto) >= {"n", "heads", "spilled", "bootstrap", "phases",
                           "final", "heap", "counters"}
-    assert set(proto["phases"]) == {"storm", "detect", "recover", "heal"}
+    assert set(proto["phases"]) == {"settle", "storm", "detect", "recover",
+                                    "heal"}
     assert proto["bootstrap"]["wall_s"] > 0
     assert proto["heads"] >= 1
 
@@ -194,6 +195,23 @@ def test_protocol_phase_rides_the_labels(tiny_matrix):
     storm = proto["phases"]["storm"]
     assert storm["configured"] == storm["entrants"]
     assert proto["final"]["addresses_unique"] is True
+    # The storm's role transitions patch the component tables node by
+    # node; only graph changes rebuild them.
+    assert storm["counters_delta"]["comp_table_node_patches"] > 0
+    for name in ("settle", "storm"):
+        delta = proto["phases"][name]["counters_delta"]
+        assert (delta.get("comp_table_full_builds", 0)
+                <= delta["graph_rebuilds"])
+
+
+def test_gate_flags_role_triggered_table_builds(tiny_matrix):
+    baseline = scale.run_scale(quick=True)
+    run = json.loads(json.dumps(baseline))
+    storm = run["protocol"]["200"]["phases"]["storm"]["counters_delta"]
+    storm["comp_table_full_builds"] = storm["graph_rebuilds"] + 1
+    failures = scale.check_scale_regression(run, baseline)
+    assert any("storm window made" in f and "comp_table_full_builds" in f
+               for f in failures)
 
 
 def test_gate_flags_protocol_invariant_violations(tiny_matrix):
